@@ -160,14 +160,15 @@ fn main() {
                 (
                     "note".into(),
                     Value::Str(
-                        "engine mode runs a fixed worker pool with per-visitor \
-                         query tagging and dynamic handler dispatch; spawn mode \
-                         monomorphizes each query but pays thread spawn/join and \
-                         runs concurrency x threads OS threads at peak. On a \
-                         single-core host oversubscription costs nothing, so the \
-                         engine's multiplexing overhead dominates; its bounded \
-                         thread count and admission control pay off with many \
-                         cores or query counts far above the core count"
+                        "engine mode runs a fixed worker pool on the multi-query \
+                         lane (per-visitor query tags, dynamic handler dispatch); \
+                         spawn mode runs each query on the single-query lane \
+                         (untagged visitors, monomorphized handler) but pays \
+                         thread spawn/join and runs concurrency x threads OS \
+                         threads at peak. With few cores oversubscription costs \
+                         little, so the engine's multiplexing overhead dominates; \
+                         its bounded thread count and admission control pay off \
+                         with many cores or query counts far above the core count"
                             .into(),
                     ),
                 ),

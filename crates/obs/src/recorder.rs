@@ -76,8 +76,9 @@ pub enum Counter {
     /// Failed publish CAS attempts on a lock-free mailbox (contention
     /// signal; each retry re-reads the head and tries again).
     MailboxCasRetries,
-    /// Segments published into lock-free mailboxes (one per batched
-    /// delivery, so `visitors / segments` is the delivery batch factor).
+    /// Fresh segments allocated by lock-free mailbox producers: deliveries
+    /// that found no drained segment to recycle (recycle misses). Not one
+    /// per delivery — a steady state that recycles segments counts none.
     MailboxSegments,
     /// Futex-style owner wakeups issued by mailbox producers on the
     /// empty→non-empty edge (lock-free path only; the mutex path counts

@@ -135,7 +135,7 @@ impl<V: Visitor> BucketQueue<V> {
                 .expect("refill called with an empty queue");
             self.base = min_class;
             self.head = 0;
-            self.drain_overflow_into_ring();
+            self.maybe_pull_overflow();
             debug_assert!(self.ring_len > 0);
         }
         // Walk the ring to the first non-empty bucket.
@@ -144,7 +144,9 @@ impl<V: Visitor> BucketQueue<V> {
             self.base += 1;
             self.maybe_pull_overflow();
         }
-        std::mem::swap(&mut self.current, &mut self.buckets[self.head]);
+        // Drop the drained staging buffer: swapped into the ring, its
+        // capacity would pile up in every slot over a long-lived worker.
+        self.current = std::mem::take(&mut self.buckets[self.head]);
         self.ring_len -= self.current.len();
         if self.sort_buckets {
             // Descending so pops from the back come out ascending —
@@ -166,11 +168,6 @@ impl<V: Visitor> BucketQueue<V> {
             self.buckets[idx].push(v);
             self.ring_len += 1;
         }
-    }
-
-    /// Move every overflow item whose class now fits into the ring.
-    fn drain_overflow_into_ring(&mut self) {
-        self.maybe_pull_overflow();
     }
 }
 
@@ -306,6 +303,31 @@ mod tests {
         q.pop();
         q.pop();
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn ring_capacity_stays_bounded_over_many_drains() {
+        // A long-lived queue (a persistent engine worker) fills and drains
+        // many times, at shifting sizes and priority ranges, so over time
+        // every ring slot stages a class. The ring must not keep the
+        // capacity of every buffer it ever staged.
+        let mut q = BucketQueue::new(0, true);
+        let mut largest = 0;
+        for cycle in 0..300u64 {
+            let size = 500 + (cycle * 7919) % 6000;
+            largest = largest.max(size as usize);
+            let base = cycle * 37;
+            for i in 0..size {
+                q.push(P(base + i % 50, i));
+            }
+            while q.pop().is_some() {}
+            let held: usize =
+                q.buckets.iter().map(Vec::capacity).sum::<usize>() + q.current.capacity();
+            assert!(
+                held <= 2 * largest,
+                "cycle {cycle}: ring and staging hold {held} slots of capacity, largest fill {largest}"
+            );
+        }
     }
 
     #[test]

@@ -65,9 +65,9 @@ pub struct VqConfig {
     pub num_threads: usize,
 
     /// Yield-loop iterations an idle worker spins through before parking on
-    /// its queue's condition variable. Small values suit oversubscription
-    /// (parked threads free the core); larger values cut wake latency when
-    /// threads ≤ cores.
+    /// its mailbox (event count or condvar). Small values suit
+    /// oversubscription (parked threads free the core); larger values cut
+    /// wake latency when threads ≤ cores.
     pub spin_iters: u32,
 
     /// Upper bound on a single park. Parking always re-checks the

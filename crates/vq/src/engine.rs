@@ -1,19 +1,18 @@
-//! Persistent multi-query traversal engine.
+//! The worker loop and the persistent multi-query engine.
 //!
-//! [`VisitorQueue`](crate::VisitorQueue) spawns a thread scope per run and
-//! joins it at termination — the right shape for one traversal, the wrong
-//! one for a service answering a stream of them (thread spawn/teardown and
-//! cold mailboxes on every request). This module keeps the worker pool
-//! alive across traversals: workers are spawned **once** per
-//! [`EngineConfig`], park on the mailbox event-count protocol when idle,
-//! and serve queries submitted through [`Engine::submit`].
-//!
-//! Every visitor is tagged with a compact **query id**. Routing, mailboxes,
-//! outbox batching and the private per-worker priority queues are all
-//! shared across queries — a worker drains one interleaved stream — while
-//! *termination* is tracked per query: each query has its own in-flight
-//! counter, and the over-count-only argument (DESIGN.md §14) applies per
-//! query id, so query A completing never depends on query B's progress.
+//! One worker loop serves every traversal, generic over a lane with two
+//! instantiations, so the one-shot and persistent paths cannot drift. The
+//! **single-query lane** runs every [`VisitorQueue`](crate::VisitorQueue)
+//! call: queues hold the visitor `V` itself, the handler is a static `&H`
+//! (no `dyn`), and termination is one pending counter plus the abort and
+//! poison flags. The **multi-query lane** ([`scoped`]) keeps workers alive
+//! across traversals — spawned **once**, parked on the mailbox event-count
+//! protocol when idle — and tags every visitor with a compact **query
+//! id**. Its routing, mailboxes, outbox batching and per-worker priority
+//! queues are shared by all queries — a worker drains one interleaved
+//! stream — while *termination* is tracked per query: the over-count-only
+//! argument (DESIGN.md §14) applies per query id, so query A completing
+//! never depends on query B's progress.
 //!
 //! ```text
 //!  submit(handler, seeds)                 workers (spawned once)
@@ -144,49 +143,13 @@ impl EngineConfig {
 /// type-erased so one engine serves heterogeneous queries.
 pub type DynHandler<'h, V> = dyn FallibleVisitHandler<V> + Send + Sync + 'h;
 
-/// How a query holds its handler: shared ownership for the public
-/// [`Engine::submit`] path, a plain borrow for the internal [`one_shot`]
-/// path (whose handler outlives the whole engine, so no `Arc` is needed —
-/// and no `Send` bound either, preserving `VisitorQueue`'s contract that
-/// handlers only need `Sync`).
-enum HandlerRef<'h, V: Visitor> {
-    Owned(Arc<DynHandler<'h, V>>),
-    Borrowed(&'h (dyn FallibleVisitHandler<V> + Sync + 'h)),
-}
-
-impl<'h, V: Visitor> HandlerRef<'h, V> {
-    #[inline]
-    fn get(&self) -> &(dyn FallibleVisitHandler<V> + 'h) {
-        match self {
-            HandlerRef::Owned(a) => &**a,
-            HandlerRef::Borrowed(r) => *r,
-        }
-    }
-}
-
-/// A visitor tagged with the query it belongs to. Ordering is by the
-/// visitor first (priority semantics are unchanged), query id second (a
+/// A visitor tagged with the query it belongs to. The derived order is by
+/// the visitor first (priority semantics are unchanged), query id second (a
 /// stable tiebreak so batch semi-sort groups same-query visitors).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Tagged<V> {
     v: V,
     qid: u32,
-}
-
-impl<V: Visitor> PartialEq for Tagged<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl<V: Visitor> Eq for Tagged<V> {}
-impl<V: Visitor> PartialOrd for Tagged<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<V: Visitor> Ord for Tagged<V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.v.cmp(&other.v).then(self.qid.cmp(&other.qid))
-    }
 }
 
 impl<V: Visitor> Visitor for Tagged<V> {
@@ -198,7 +161,62 @@ impl<V: Visitor> Visitor for Tagged<V> {
     }
 }
 
+/// Termination and accounting of one traversal: the whole run on the
+/// single-query lane, one query on the multi-query lane.
+#[derive(Default)]
+struct Progress {
+    /// Visitors pushed but not yet completed, over-counted only (deferred
+    /// local increments, per-worker debt). Zero means terminated.
+    pending: AtomicU64,
+    /// Set when the handler returned `Err`; the remaining visitors drain
+    /// out as drops (on the multi-query lane, siblings are untouched).
+    aborted: AtomicBool,
+    /// First abort reason (later failures are dropped).
+    abort_reason: Mutex<Option<AbortReason>>,
+    executed: AtomicU64,
+    /// Initialized to the seed count (seeds count as pushes).
+    pushed: AtomicU64,
+    local_pushes: AtomicU64,
+}
+
+impl Progress {
+    fn new(seeded: u64) -> Self {
+        Progress {
+            pending: seeded.into(),
+            pushed: seeded.into(),
+            ..Default::default()
+        }
+    }
+
+    /// Record an abort: capture the first reason, then flag it. No wakeup
+    /// is needed — a parked worker holds no visitors, and the remaining
+    /// ones drain out as drops wherever they are queued.
+    fn abort(&self, reason: AbortReason) {
+        let mut slot = self.abort_reason.lock();
+        if slot.is_none() {
+            *slot = Some(reason);
+        }
+        drop(slot);
+        self.aborted.store(true, Ordering::Release);
+    }
+
+    /// Final counts (read once `pending` is zero) with the given latency.
+    /// Every pushed visitor has then executed or been dropped.
+    fn stats(&self, elapsed: Duration) -> QueryStats {
+        let executed = self.executed.load(Ordering::Acquire);
+        let pushed = self.pushed.load(Ordering::Acquire);
+        QueryStats {
+            visitors_executed: executed,
+            visitors_pushed: pushed,
+            local_pushes: self.local_pushes.load(Ordering::Acquire),
+            visitors_dropped: pushed - executed,
+            elapsed,
+        }
+    }
+}
+
 /// Completion latch a [`QueryTicket`] waits on.
+#[derive(Default)]
 struct QueryDone {
     /// The query finalized (terminated or aborted) and its stats are final.
     complete: bool,
@@ -206,29 +224,14 @@ struct QueryDone {
     poisoned: bool,
 }
 
-/// Per-query shared state: its handler, its private termination counter,
-/// and the stat cells workers flush their ledgers into.
+/// Per-query shared state: its handler, its termination counter and the
+/// stat cells workers flush their ledgers into.
 struct QueryShared<'h, V: Visitor> {
     qid: u32,
-    handler: HandlerRef<'h, V>,
-    /// Count of this query's visitors pushed but not yet completed — the
-    /// per-query twin of the single-run pending counter, with the same
-    /// over-count-only batching (deferred local increments, per-worker
-    /// completion debt). Zero means the query terminated.
-    pending: AtomicU64,
-    /// Set when this query's handler returned `Err`; its remaining
-    /// visitors drain out as drops, siblings are untouched.
-    aborted: AtomicBool,
-    /// First abort reason (later failures of the same query are dropped).
-    abort_reason: Mutex<Option<AbortReason>>,
+    handler: Arc<DynHandler<'h, V>>,
+    progress: Progress,
     /// Finalizer election: exactly one thread retires the query.
     finished: AtomicBool,
-    executed: AtomicU64,
-    /// Initialized to the seed count (seeds are driver pushes).
-    pushed: AtomicU64,
-    local_pushes: AtomicU64,
-    /// Visitors of this query dropped unexecuted after its abort.
-    dropped: AtomicU64,
     /// Submit-to-finalize latency, written once at retire.
     latency_ns: AtomicU64,
     done: Mutex<QueryDone>,
@@ -237,40 +240,17 @@ struct QueryShared<'h, V: Visitor> {
 }
 
 impl<'h, V: Visitor> QueryShared<'h, V> {
-    fn new(qid: u32, handler: HandlerRef<'h, V>, seeded: u64) -> Self {
+    fn new(qid: u32, handler: Arc<DynHandler<'h, V>>, seeded: u64) -> Self {
         QueryShared {
             qid,
             handler,
-            pending: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-            abort_reason: Mutex::new(None),
+            progress: Progress::new(seeded),
             finished: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            pushed: AtomicU64::new(seeded),
-            local_pushes: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             latency_ns: AtomicU64::new(0),
-            done: Mutex::new(QueryDone {
-                complete: false,
-                poisoned: false,
-            }),
+            done: Mutex::default(),
             done_cv: Condvar::new(),
             submitted: Instant::now(),
         }
-    }
-
-    /// Record this query's abort: capture the first reason, then flag it.
-    /// No wakeup is needed — a parked worker holds no visitors, so the
-    /// aborted query's remaining work is already in mailboxes (whose
-    /// delivery woke their owners) or in awake workers' heaps, and drains
-    /// out as drops.
-    fn abort(&self, reason: AbortReason) {
-        let mut slot = self.abort_reason.lock();
-        if slot.is_none() {
-            *slot = Some(reason);
-        }
-        drop(slot);
-        self.aborted.store(true, Ordering::Release);
     }
 
     /// Unblock the ticket with an engine-poisoned verdict. Idempotent.
@@ -281,13 +261,28 @@ impl<'h, V: Visitor> QueryShared<'h, V> {
     }
 }
 
+/// Group `seeds` by owner queue (one delivery per worker); returns the
+/// groups and the seed count.
+fn group_seeds<V: Visitor, T>(
+    seeds: impl IntoIterator<Item = V>,
+    num_queues: usize,
+    wrap: impl Fn(V) -> T,
+) -> (Vec<Vec<T>>, u64) {
+    let mut groups: Vec<Vec<T>> = (0..num_queues).map(|_| Vec::new()).collect();
+    let mut seeded: u64 = 0;
+    for v in seeds {
+        groups[route_of(v.target(), num_queues)].push(wrap(v));
+        seeded += 1;
+    }
+    (groups, seeded)
+}
+
 /// A query admitted past `max_concurrent` waiting in the bounded queue,
 /// seeds pre-routed so activation is cheap.
 struct PendingSubmit<'h, V: Visitor> {
     query: Arc<QueryShared<'h, V>>,
     /// Seed visitors grouped by destination queue.
     groups: Vec<Vec<Tagged<V>>>,
-    seeded: u64,
 }
 
 /// Admission state, guarded by one mutex: how many queries run, how many
@@ -303,14 +298,15 @@ struct Admission<'h, V: Visitor> {
     queue: VecDeque<PendingSubmit<'h, V>>,
 }
 
-/// Everything the workers and the submitting side share.
+/// Everything the workers and the submitting side share — the multi-query
+/// lane.
 struct EngineShared<'h, V: Visitor> {
     /// One mailbox per worker, shared by every query (visitors are
     /// [`Tagged`] so ownership of the *stream* stays per-worker while
     /// accounting stays per-query).
     inboxes: Vec<Mailbox<Tagged<V>>>,
     /// Live queries by id. Read per qid-switch on the worker hot path
-    /// (amortized by the one-entry cache in [`engine_worker`]).
+    /// (amortized by the one-entry query cache in `engine_worker`).
     queries: RwLock<HashMap<u32, Arc<QueryShared<'h, V>>>>,
     admission: Mutex<Admission<'h, V>>,
     /// Signalled when admission capacity frees up (submitters wait here).
@@ -328,6 +324,8 @@ struct EngineShared<'h, V: Visitor> {
     next_qid: AtomicU32,
     /// Queries finalized over the engine's lifetime.
     finalized: AtomicU64,
+    /// [`EngineConfig::idle_park_timeout`].
+    idle_park_timeout: Duration,
 }
 
 impl<'h, V: Visitor> EngineShared<'h, V> {
@@ -350,66 +348,24 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
             active_count: AtomicU64::new(0),
             next_qid: AtomicU32::new(0),
             finalized: AtomicU64::new(0),
+            idle_park_timeout: cfg.idle_park_timeout,
         }
     }
 
-    /// Whether workers should exit (graceful shutdown or poison).
-    #[inline]
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Wake every parked worker (teardown).
-    fn wake_all(&self) {
-        for inbox in &self.inboxes {
-            inbox.wake();
-        }
-    }
-
-    fn lookup(&self, qid: u32) -> Option<Arc<QueryShared<'h, V>>> {
-        self.queries.read().get(&qid).cloned()
-    }
-
-    /// A worker panicked: fail every live and queued query's ticket, block
-    /// further submits, and wake everyone so the scope can come down.
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        self.shutdown.store(true, Ordering::Release);
-        {
-            let queries = self.queries.read();
-            for q in queries.values() {
-                q.fail_poisoned();
-            }
-        }
-        {
-            let mut adm = self.admission.lock();
-            adm.draining = true;
-            while let Some(p) = adm.queue.pop_front() {
-                adm.total_unfinished -= 1;
-                p.query.fail_poisoned();
-            }
-            self.submit_cv.notify_all();
-            self.drain_cv.notify_all();
-        }
-        self.wake_all();
-    }
-
-    /// Make an admitted query live: publish it in the table, arm its
-    /// pending counter, and deliver its seed groups. Returns `true` for
-    /// the empty-seed degenerate case (the caller must retire it — no
-    /// worker ever will).
+    /// Make an admitted query live: publish it in the table and deliver
+    /// its seed groups. Returns `true` for the empty-seed degenerate case
+    /// (the caller must retire it — no worker ever will).
     fn activate<R: Recorder>(
         &self,
         query: &Arc<QueryShared<'h, V>>,
         mut groups: Vec<Vec<Tagged<V>>>,
-        seeded: u64,
         recorder: &R,
     ) -> bool {
-        // Table insert first (workers must be able to look the qid up the
-        // moment a seed lands), counter before delivery (a delivered seed
-        // may execute and complete before this function returns).
+        // Table insert first: workers must be able to look the qid up the
+        // moment a seed lands. The pending counter was armed with the seed
+        // count at construction.
+        let no_seeds = groups.iter().all(Vec::is_empty);
         self.queries.write().insert(query.qid, Arc::clone(query));
-        query.pending.store(seeded, Ordering::Release);
         for (dest, group) in groups.iter_mut().enumerate() {
             self.inboxes[dest].deliver(group, mailbox::NO_PRODUCER, recorder);
         }
@@ -420,7 +376,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         if self.poisoned.load(Ordering::Acquire) {
             query.fail_poisoned();
         }
-        seeded == 0
+        no_seeds
     }
 
     /// Retire a finalized query (pending hit zero): record latency and
@@ -439,7 +395,7 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         q.latency_ns.store(latency, Ordering::Relaxed);
         if R::ENABLED {
             recorder.observe(HistKind::QueryLatencyNs, latency);
-            if q.aborted.load(Ordering::Acquire) {
+            if q.progress.aborted.load(Ordering::Acquire) {
                 recorder.counter(Counter::QueriesAborted, 1);
             } else {
                 recorder.counter(Counter::QueriesCompleted, 1);
@@ -465,12 +421,8 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
         };
         let mut done = q.done.lock();
         done.complete = true;
-        self.done_notify(q, &mut done);
-        next
-    }
-
-    fn done_notify(&self, q: &QueryShared<'h, V>, _done: &mut parking_lot::MutexGuard<QueryDone>) {
         q.done_cv.notify_all();
+        next
     }
 
     /// Drive a query through retirement, activating queued successors. A
@@ -479,13 +431,8 @@ impl<'h, V: Visitor> EngineShared<'h, V> {
     /// recurse unboundedly.
     fn finalize<R: Recorder>(&self, q: &QueryShared<'h, V>, recorder: &R) {
         let mut next = self.retire(q, recorder);
-        while let Some(p) = next {
-            let PendingSubmit {
-                query,
-                groups,
-                seeded,
-            } = p;
-            next = if self.activate(&query, groups, seeded, recorder) {
+        while let Some(PendingSubmit { query, groups }) = next {
+            next = if self.activate(&query, groups, recorder) {
                 self.retire(&query, recorder)
             } else {
                 None
@@ -634,43 +581,12 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
     where
         I: IntoIterator<Item = V>,
     {
-        self.submit_inner(HandlerRef::Owned(handler), seeds)
-    }
-
-    /// [`Self::submit`] over a borrowed handler that outlives the engine —
-    /// the [`one_shot`] path, which must not require `Send` (or an `Arc`)
-    /// of `VisitorQueue` handlers.
-    pub(crate) fn submit_borrowed<I>(
-        &self,
-        handler: &'h (dyn FallibleVisitHandler<V> + Sync + 'h),
-        seeds: I,
-    ) -> Result<QueryTicket<'h, V>, SubmitError>
-    where
-        I: IntoIterator<Item = V>,
-    {
-        self.submit_inner(HandlerRef::Borrowed(handler), seeds)
-    }
-
-    fn submit_inner<I>(
-        &self,
-        handler: HandlerRef<'h, V>,
-        seeds: I,
-    ) -> Result<QueryTicket<'h, V>, SubmitError>
-    where
-        I: IntoIterator<Item = V>,
-    {
         let shared = self.shared;
         if shared.poisoned.load(Ordering::Acquire) {
             return self.reject(SubmitError::Poisoned);
         }
         let qid = shared.next_qid.fetch_add(1, Ordering::Relaxed);
-        let num_queues = shared.inboxes.len();
-        let mut groups: Vec<Vec<Tagged<V>>> = (0..num_queues).map(|_| Vec::new()).collect();
-        let mut seeded: u64 = 0;
-        for v in seeds {
-            groups[route_of(v.target(), num_queues)].push(Tagged { v, qid });
-            seeded += 1;
-        }
+        let (groups, seeded) = group_seeds(seeds, shared.inboxes.len(), |v| Tagged { v, qid });
         let query = Arc::new(QueryShared::new(qid, handler, seeded));
 
         let deadline = Instant::now() + self.cfg.submit_timeout;
@@ -695,7 +611,7 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
                         .gauge_max(Gauge::ActiveQueriesHwm, adm.active as u64);
                 }
                 drop(adm);
-                if shared.activate(&query, groups, seeded, self.recorder) {
+                if shared.activate(&query, groups, self.recorder) {
                     // No seeds: nothing will ever decrement pending, so the
                     // query finalizes here (possibly chaining successors).
                     shared.finalize(&query, self.recorder);
@@ -707,7 +623,6 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
                 adm.queue.push_back(PendingSubmit {
                     query: Arc::clone(&query),
                     groups,
-                    seeded,
                 });
                 break;
             }
@@ -722,7 +637,7 @@ impl<'s, 'h, V: Visitor, R: Recorder> Engine<'s, 'h, V, R> {
         if R::ENABLED {
             self.recorder.counter(Counter::QueriesSubmitted, 1);
             // Seed pushes are driver-attributed (overflow shard), matching
-            // the single-run engine's accounting.
+            // the single-query lane's accounting.
             self.recorder.counter(Counter::VisitorsPushed, seeded);
         }
         Ok(QueryTicket { query })
@@ -750,22 +665,12 @@ impl<'h, V: Visitor> QueryTicket<'h, V> {
         if !complete {
             return Err(QueryError::EnginePoisoned);
         }
-        let stats = QueryStats {
-            visitors_executed: q.executed.load(Ordering::Acquire),
-            visitors_pushed: q.pushed.load(Ordering::Acquire),
-            local_pushes: q.local_pushes.load(Ordering::Acquire),
-            visitors_dropped: q.dropped.load(Ordering::Acquire),
-            elapsed: Duration::from_nanos(q.latency_ns.load(Ordering::Acquire)),
-        };
-        if q.aborted.load(Ordering::Acquire) {
-            let reason = q
-                .abort_reason
-                .lock()
-                .take()
-                .expect("aborted query without a reason");
-            return Err(QueryError::Aborted { reason, stats });
+        let latency = Duration::from_nanos(q.latency_ns.load(Ordering::Acquire));
+        let stats = q.progress.stats(latency);
+        match q.progress.abort_reason.lock().take() {
+            Some(reason) => Err(QueryError::Aborted { reason, stats }),
+            None => Ok(stats),
         }
-        Ok(stats)
     }
 
     /// Whether the query has already finalized (non-blocking).
@@ -808,13 +713,13 @@ where
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("vq-worker-{id}"))
-                    .spawn_scoped(scope, move || engine_worker(shared, id, cfg, recorder))
+                    .spawn_scoped(scope, move || engine_worker(shared, id, &cfg.vq, recorder))
                     .expect("spawn engine worker"),
             );
         }
         // If `f` panics, poison so workers exit and the scope's implicit
         // join completes instead of deadlocking under the unwind.
-        let guard = DriverGuard(&shared);
+        let guard = PoisonGuard(&shared);
         let engine = Engine {
             shared: &shared,
             recorder,
@@ -851,10 +756,11 @@ where
     (out, stats)
 }
 
-/// Poison the engine if the driver closure unwinds (see [`scoped`]).
-struct DriverGuard<'a, 'h, V: Visitor>(&'a EngineShared<'h, V>);
+/// Poison a lane if the current thread unwinds: a worker whose handler
+/// panicked, or the closure [`scoped`] runs.
+struct PoisonGuard<'a, L: Lane>(&'a L);
 
-impl<'a, 'h, V: Visitor> Drop for DriverGuard<'a, 'h, V> {
+impl<'a, L: Lane> Drop for PoisonGuard<'a, L> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.poison();
@@ -862,14 +768,191 @@ impl<'a, 'h, V: Visitor> Drop for DriverGuard<'a, 'h, V> {
     }
 }
 
-/// Poison the engine if a worker (i.e. a handler) panics.
-struct WorkerPoisonGuard<'a, 'h, V: Visitor>(&'a EngineShared<'h, V>);
+/// What the worker loop needs from the traversals it serves. Two lanes
+/// instantiate the one loop: `Solo` (one traversal, queues of `V`, static
+/// handler) and [`EngineShared`] (many queries, queues of [`Tagged`] `V`,
+/// `dyn` handlers looked up by query id).
+trait Lane: Sync {
+    /// The visitor type handlers see.
+    type V: Visitor;
+    /// What heaps, outboxes and mailboxes hold.
+    type Item: Visitor;
+    /// Which traversal a queued item belongs to.
+    type Key: Copy + PartialEq;
+    /// A worker's handle on the traversal it is executing.
+    type Cur;
+    /// The handler type: a static `H`, or `dyn`.
+    type Handler: FallibleVisitHandler<Self::V> + ?Sized;
 
-impl<'a, 'h, V: Visitor> Drop for WorkerPoisonGuard<'a, 'h, V> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
+    fn inboxes(&self) -> &[Mailbox<Self::Item>];
+    fn split(item: Self::Item) -> (Self::V, Self::Key);
+    fn sink<'a>(
+        heap: &'a mut BucketQueue<Self::Item>,
+        outbox: &'a mut Outbox<Self::Item>,
+        key: Self::Key,
+    ) -> LaneSink<'a, Self::V>;
+    /// Point `cur` at `key`'s traversal, settling `led` into the one it
+    /// held before. `false` if the traversal is unknown (impossible while
+    /// its visitors hold pending units; guarded anyway).
+    fn enter<R: Recorder>(
+        &self,
+        cur: &mut Option<Self::Cur>,
+        led: &mut Ledger,
+        key: Self::Key,
+        recorder: &R,
+    ) -> bool;
+    /// `cur`'s accounting and handler.
+    fn query<'c>(&'c self, cur: &'c Self::Cur) -> (&'c Progress, &'c Self::Handler);
+    /// Set when a handler panicked: workers drop everything and exit.
+    fn poison_flag(&self) -> &AtomicBool;
+    /// An idle worker exits instead of parking.
+    fn done(&self) -> bool;
+
+    /// `cur`'s pending counter reached zero: wake workers to see `done`.
+    fn finish<R: Recorder>(&self, _cur: &Self::Cur, _recorder: &R) {
+        self.wake_all();
+    }
+    fn poisoned(&self) -> bool {
+        self.poison_flag().load(Ordering::Acquire)
+    }
+    fn poison(&self) {
+        self.poison_flag().store(true, Ordering::Release);
+        self.wake_all();
+    }
+    /// Idle spin iterations before parking, and the bound on one park.
+    fn idle(&self, cfg: &VqConfig) -> (u32, Duration) {
+        (cfg.spin_iters, cfg.park_timeout)
+    }
+    /// Wake every parked worker (termination, teardown).
+    fn wake_all(&self) {
+        for inbox in self.inboxes() {
+            inbox.wake();
         }
+    }
+}
+
+/// The single-query lane: one traversal owns the pool.
+struct Solo<'h, V: Visitor, H> {
+    inboxes: Vec<Mailbox<V>>,
+    handler: &'h H,
+    progress: Progress,
+    poisoned: AtomicBool,
+}
+
+impl<'h, V: Visitor, H: FallibleVisitHandler<V>> Lane for Solo<'h, V, H> {
+    type V = V;
+    type Item = V;
+    type Key = ();
+    type Cur = ();
+    type Handler = H;
+
+    fn inboxes(&self) -> &[Mailbox<V>] {
+        &self.inboxes
+    }
+    fn split(v: V) -> (V, ()) {
+        (v, ())
+    }
+    fn sink<'a>(heap: &'a mut BucketQueue<V>, out: &'a mut Outbox<V>, _: ()) -> LaneSink<'a, V> {
+        LaneSink::Single(heap, out)
+    }
+    fn enter<R: Recorder>(&self, cur: &mut Option<()>, _: &mut Ledger, _: (), _: &R) -> bool {
+        *cur = Some(());
+        true
+    }
+    fn query(&self, _: &()) -> (&Progress, &H) {
+        (&self.progress, self.handler)
+    }
+    fn poison_flag(&self) -> &AtomicBool {
+        &self.poisoned
+    }
+    fn done(&self) -> bool {
+        self.progress.pending.load(Ordering::Acquire) == 0 || self.poisoned()
+    }
+}
+
+impl<'h, V: Visitor> Lane for EngineShared<'h, V> {
+    type V = V;
+    type Item = Tagged<V>;
+    type Key = u32;
+    type Cur = Arc<QueryShared<'h, V>>;
+    type Handler = DynHandler<'h, V>;
+
+    fn inboxes(&self) -> &[Mailbox<Tagged<V>>] {
+        &self.inboxes
+    }
+    fn split(t: Tagged<V>) -> (V, u32) {
+        (t.v, t.qid)
+    }
+    fn sink<'a>(
+        heap: &'a mut BucketQueue<Tagged<V>>,
+        out: &'a mut Outbox<Tagged<V>>,
+        qid: u32,
+    ) -> LaneSink<'a, V> {
+        LaneSink::Multi(heap, out, qid)
+    }
+    /// A one-entry query cache: interleaved streams switch rarely (the
+    /// heap's semi-sort groups same-query visitors), so the query table's
+    /// read lock stays off the per-visitor path.
+    fn enter<R: Recorder>(
+        &self,
+        cur: &mut Option<Self::Cur>,
+        led: &mut Ledger,
+        qid: u32,
+        recorder: &R,
+    ) -> bool {
+        if cur.as_ref().map(|q| q.qid) != Some(qid) {
+            if let Some(prev) = cur.take() {
+                led.settle(self, &prev, recorder);
+            }
+            *cur = self.queries.read().get(&qid).cloned();
+        }
+        cur.is_some()
+    }
+    fn query<'c>(&'c self, q: &'c Self::Cur) -> (&'c Progress, &'c DynHandler<'h, V>) {
+        (&q.progress, &*q.handler)
+    }
+    fn finish<R: Recorder>(&self, q: &Self::Cur, recorder: &R) {
+        self.finalize(q, recorder);
+    }
+    fn poison_flag(&self) -> &AtomicBool {
+        &self.poisoned
+    }
+    /// Fail every live and queued query's ticket, block further submits,
+    /// and wake everyone so the scope can come down.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        self.shutdown.store(true, Ordering::Release);
+        {
+            let queries = self.queries.read();
+            for q in queries.values() {
+                q.fail_poisoned();
+            }
+        }
+        {
+            let mut adm = self.admission.lock();
+            adm.draining = true;
+            while let Some(p) = adm.queue.pop_front() {
+                adm.total_unfinished -= 1;
+                p.query.fail_poisoned();
+            }
+            self.submit_cv.notify_all();
+            self.drain_cv.notify_all();
+        }
+        self.wake_all();
+    }
+    /// Shutdown or poison: an idle engine worker waits for the next query.
+    fn done(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire) || self.poisoned()
+    }
+    /// Spin only while queries are in flight: between queries nothing is
+    /// nanoseconds away, and N spinning workers would burn N idle cores.
+    fn idle(&self, cfg: &VqConfig) -> (u32, Duration) {
+        let spin = if self.active_count.load(Ordering::Relaxed) == 0 {
+            0
+        } else {
+            cfg.spin_iters
+        };
+        (spin, self.idle_park_timeout)
     }
 }
 
@@ -878,8 +961,9 @@ impl<'a, 'h, V: Visitor> Drop for WorkerPoisonGuard<'a, 'h, V> {
 /// Remote pushes are staged here and delivered in batches, amortizing the
 /// publish CAS (or inbox lock) and (more importantly on oversubscribed
 /// hosts) the wake-a-parked-thread syscall over many visitors instead of
-/// paying both per push. Shared by all queries — batching is a property of
-/// the worker, accounting a property of the query.
+/// paying both per push. On the multi-query lane it is shared by all
+/// queries — batching is a property of the worker, accounting a property
+/// of the query.
 struct Outbox<T: Visitor> {
     buffers: Vec<Vec<T>>,
     /// Total staged visitors across all buffers.
@@ -913,6 +997,9 @@ impl<T: Visitor> Outbox<T> {
         if self.staged == 0 {
             return;
         }
+        if R::ENABLED {
+            recorder.counter(Counter::OutboxFlushes, 1);
+        }
         for (q, buf) in self.buffers.iter_mut().enumerate() {
             inboxes[q].deliver(buf, worker_id, recorder);
         }
@@ -922,27 +1009,67 @@ impl<T: Visitor> Outbox<T> {
     /// Deliver only the destinations whose buffers crossed
     /// [`FLUSH_PER_DEST`] (they may have grown further since).
     fn flush_ready<R: Recorder>(&mut self, inboxes: &[Mailbox<T>], worker_id: usize, recorder: &R) {
+        if R::ENABLED {
+            recorder.counter(Counter::OutboxFlushes, 1);
+        }
         while let Some(q) = self.ready.pop() {
             let buf = &mut self.buffers[q];
             self.staged -= buf.len() as u64;
             inboxes[q].deliver(buf, worker_id, recorder);
         }
     }
+
+    /// Route a pushed visitor to its owner: into `heap` if that is the
+    /// executing worker (returns `true`), else into this outbox.
+    #[inline]
+    fn route(&mut self, heap: &mut BucketQueue<T>, t: T, id: usize, pending: &AtomicU64) -> bool {
+        let q = route_of(t.target(), self.buffers.len());
+        if q == id {
+            // Local fast path: no lock, and the pending increment is
+            // deferred to the end of the visit (the executing visitor's own
+            // pending unit keeps the counter positive until then, and only
+            // this worker can drain its private heap).
+            heap.push(t);
+            return true;
+        }
+        // Remote pushes must be globally visible *before* the mail can be
+        // delivered, or the recipient could complete it and drive the
+        // counter to zero while our accounting is still in flight.
+        pending.fetch_add(1, Ordering::Relaxed);
+        let buf = &mut self.buffers[q];
+        buf.push(t);
+        self.staged += 1;
+        if buf.len() == FLUSH_PER_DEST {
+            self.ready.push(q);
+        }
+        false
+    }
+}
+
+/// Where a [`PushCtx`]'s pushes go: the executing worker's private heap
+/// and its outbox, typed by its lane's queue item. The variant is fixed per
+/// worker, so the branch in [`PushCtx::push`] never mispredicts.
+enum LaneSink<'a, V: Visitor> {
+    /// Single-query lane: queues hold `V` itself.
+    Single(&'a mut BucketQueue<V>, &'a mut Outbox<V>),
+    /// Multi-query lane: pushes inherit the executing visitor's query id.
+    Multi(
+        &'a mut BucketQueue<Tagged<V>>,
+        &'a mut Outbox<Tagged<V>>,
+        u32,
+    ),
 }
 
 /// Handle through which a [`VisitHandler`](crate::VisitHandler) emits new
 /// visitors. Pushes addressed to the executing worker's own queue go
 /// straight into its private heap with no synchronization; remote pushes
-/// are staged in the worker's outbox. Emitted visitors inherit the
-/// executing visitor's query id.
+/// are staged in the worker's outbox. On the multi-query lane, emitted
+/// visitors inherit the executing visitor's query id.
 pub struct PushCtx<'a, V: Visitor> {
-    inboxes: &'a [Mailbox<Tagged<V>>],
-    /// The executing query's pending counter.
+    sink: LaneSink<'a, V>,
+    /// The executing traversal's pending counter.
     pending: &'a AtomicU64,
-    qid: u32,
     worker_id: usize,
-    local_heap: &'a mut BucketQueue<Tagged<V>>,
-    outbox: &'a mut Outbox<Tagged<V>>,
     pushed: u64,
     local_pushes: u64,
 }
@@ -954,28 +1081,14 @@ impl<'a, V: Visitor> PushCtx<'a, V> {
     #[inline]
     pub fn push(&mut self, v: V) {
         self.pushed += 1;
-        let q = route_of(v.target(), self.inboxes.len());
-        let t = Tagged { v, qid: self.qid };
-        if q == self.worker_id {
-            // Local fast path: no lock, and the pending increment is
-            // deferred to the end of the visit (the executing visitor's own
-            // pending unit keeps the counter positive until then, and only
-            // this worker can drain its private heap).
-            self.local_pushes += 1;
-            self.local_heap.push(t);
-        } else {
-            // Remote pushes must be globally visible *before* the mail can
-            // be delivered, or the recipient could complete it and drive
-            // the query's counter to zero while our accounting is still in
-            // flight.
-            self.pending.fetch_add(1, Ordering::Relaxed);
-            let buf = &mut self.outbox.buffers[q];
-            buf.push(t);
-            self.outbox.staged += 1;
-            if buf.len() == FLUSH_PER_DEST {
-                self.outbox.ready.push(q);
+        let (id, pending) = (self.worker_id, self.pending);
+        let local = match &mut self.sink {
+            LaneSink::Single(heap, out) => out.route(heap, v, id, pending),
+            LaneSink::Multi(heap, out, qid) => {
+                out.route(heap, Tagged { v, qid: *qid }, id, pending)
             }
-        }
+        };
+        self.local_pushes += local as u64;
     }
 
     /// Id of the worker executing the current visitor.
@@ -983,58 +1096,50 @@ impl<'a, V: Visitor> PushCtx<'a, V> {
         self.worker_id
     }
 
-    /// Number of workers (== number of queues) in this engine.
+    /// Number of workers (== number of queues) in this run or engine.
     pub fn num_workers(&self) -> usize {
-        self.inboxes.len()
+        match &self.sink {
+            LaneSink::Single(_, out) => out.buffers.len(),
+            LaneSink::Multi(_, out, _) => out.buffers.len(),
+        }
     }
 }
 
-/// Per-worker, per-current-query accounting, flushed to the query's atomics
-/// when the worker switches queries or runs out of local work. Holding debt
-/// makes the query's `pending` an over-count — safe (termination is only
-/// delayed) — and turns the per-visitor decrement into one amortized
-/// subtraction. Stats are flushed *before* the debt, so when a query's
-/// counter reaches zero every stat that contributed is already visible.
+/// Per-worker accounting for the traversal it is executing, flushed to the
+/// traversal's [`Progress`] when the worker switches queries or runs out of
+/// local work. Holding debt makes `pending` an over-count — safe
+/// (termination is only delayed) — and turns the per-visitor decrement
+/// into one amortized subtraction. Stats are flushed *before* the debt, so
+/// when the counter reaches zero every stat that contributed is already
+/// visible.
 #[derive(Default)]
 struct Ledger {
     debt: u64,
     executed: u64,
     pushed: u64,
     local: u64,
-    dropped: u64,
 }
 
 const DEBT_FLUSH: u64 = 256;
 
 impl Ledger {
-    fn settle<'h, V: Visitor, R: Recorder>(
-        &mut self,
-        shared: &EngineShared<'h, V>,
-        q: &QueryShared<'h, V>,
-        recorder: &R,
-    ) {
-        if self.executed > 0 {
-            q.executed.fetch_add(self.executed, Ordering::Relaxed);
-            self.executed = 0;
-        }
-        if self.pushed > 0 {
-            q.pushed.fetch_add(self.pushed, Ordering::Relaxed);
-            self.pushed = 0;
-        }
-        if self.local > 0 {
-            q.local_pushes.fetch_add(self.local, Ordering::Relaxed);
-            self.local = 0;
-        }
-        if self.dropped > 0 {
-            q.dropped.fetch_add(self.dropped, Ordering::Relaxed);
-            self.dropped = 0;
+    fn settle<L: Lane, R: Recorder>(&mut self, lane: &L, cur: &L::Cur, recorder: &R) {
+        let (p, _) = lane.query(cur);
+        for (cell, n) in [
+            (&p.executed, &mut self.executed),
+            (&p.pushed, &mut self.pushed),
+            (&p.local_pushes, &mut self.local),
+        ] {
+            if *n > 0 {
+                cell.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
         }
         let debt = std::mem::take(&mut self.debt);
         // The release half of this RMW publishes the stat stores above;
-        // the finalizing fetch_sub that observes zero acquires the whole
-        // release sequence, so finalized stats are complete.
-        if debt > 0 && q.pending.fetch_sub(debt, Ordering::AcqRel) == debt {
-            shared.finalize(q, recorder);
+        // the fetch_sub that observes zero acquires the whole release
+        // sequence, so final stats are complete.
+        if debt > 0 && p.pending.fetch_sub(debt, Ordering::AcqRel) == debt {
+            lane.finish(cur, recorder);
         }
     }
 }
@@ -1051,38 +1156,19 @@ struct WorkerTotals {
     inbox_batches: u64,
 }
 
-/// Switch the worker's one-entry query cache to `qid`, settling the ledger
-/// for the previous query first. Returns `false` if the qid is unknown
-/// (impossible while its visitors hold pending units; guarded anyway).
-fn switch_query<'h, V: Visitor, R: Recorder>(
-    shared: &EngineShared<'h, V>,
-    cur: &mut Option<Arc<QueryShared<'h, V>>>,
-    led: &mut Ledger,
-    qid: u32,
-    recorder: &R,
-) -> bool {
-    if cur.as_ref().map(|q| q.qid) != Some(qid) {
-        if let Some(prev) = cur.take() {
-            led.settle(shared, &prev, recorder);
-        }
-        *cur = shared.lookup(qid);
-    }
-    cur.is_some()
-}
-
-fn engine_worker<'h, V: Visitor, R: Recorder>(
-    shared: &EngineShared<'h, V>,
+fn engine_worker<L: Lane, R: Recorder>(
+    lane: &L,
     id: usize,
-    cfg: &EngineConfig,
+    cfg: &VqConfig,
     recorder: &R,
 ) -> WorkerTotals {
-    let inbox = &shared.inboxes[id];
+    let inboxes = lane.inboxes();
+    let inbox = &inboxes[id];
     inbox.register_owner();
-    let mut heap: BucketQueue<Tagged<V>> =
-        BucketQueue::new(cfg.vq.priority_shift, cfg.vq.sort_buckets);
-    let mut outbox: Outbox<Tagged<V>> = Outbox::new(shared.inboxes.len());
+    let mut heap: BucketQueue<L::Item> = BucketQueue::new(cfg.priority_shift, cfg.sort_buckets);
+    let mut outbox: Outbox<L::Item> = Outbox::new(inboxes.len());
     let mut totals = WorkerTotals::default();
-    let poison_guard = WorkerPoisonGuard(shared);
+    let poison_guard = PoisonGuard(lane);
     if R::ENABLED {
         recorder.register_worker(id);
         recorder.timeline("worker_start");
@@ -1091,112 +1177,94 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
     // Backstop: a full flush once this many visitors are staged in total,
     // so a push pattern that never fills any single destination buffer
     // still bounds the delivery latency the batching introduces.
-    let outbox_max_staged: u64 = (FLUSH_PER_DEST * shared.inboxes.len()) as u64;
+    let outbox_max_staged: u64 = (FLUSH_PER_DEST * inboxes.len()) as u64;
 
-    // Visitors drained for the current service round, split into parallel
-    // visitor/qid columns so `prepare_batch` can see contiguous `&[V]`
-    // runs; reused across rounds so the hot path does not allocate.
-    let batch_drain = cfg.vq.batch_drain.max(1);
-    let mut bvis: Vec<V> = Vec::with_capacity(batch_drain);
-    let mut bqid: Vec<u32> = Vec::with_capacity(batch_drain);
+    // Visitors drained for the current service round, split into visitor
+    // and key columns so `prepare_batch` sees contiguous `&[V]` runs (keys
+    // are zero-sized on the single-query lane); reused across rounds.
+    let batch_drain = cfg.batch_drain.max(1);
+    let mut bvis: Vec<L::V> = Vec::with_capacity(batch_drain);
+    let mut bkey: Vec<L::Key> = Vec::with_capacity(batch_drain);
 
-    // One-entry cache of the query the worker is currently executing, with
-    // its unsettled accounting. Interleaved streams switch rarely (the
-    // heap's semi-sort groups same-query visitors), so the queries-table
-    // read-lock stays off the per-visitor path.
-    let mut cur: Option<Arc<QueryShared<'h, V>>> = None;
+    // The traversal being executed, with its unsettled accounting.
+    let mut cur: Option<L::Cur> = None;
     let mut led = Ledger::default();
 
     'outer: loop {
         // Merge any mail into the private heap so priorities interleave.
-        if inbox.has_mail() {
-            let moved = inbox.drain(&mut heap, recorder);
-            if moved > 0 {
-                totals.inbox_batches += 1;
-            }
+        if inbox.has_mail() && inbox.drain(&mut heap, recorder) > 0 {
+            totals.inbox_batches += 1;
         }
 
         // Drain up to `batch_drain` visitors for this service round.
         while bvis.len() < batch_drain {
-            match heap.pop() {
-                Some(t) => {
-                    bvis.push(t.v);
-                    bqid.push(t.qid);
-                }
-                None => break,
-            }
+            let Some(t) = heap.pop() else { break };
+            let (v, key) = L::split(t);
+            bvis.push(v);
+            bkey.push(key);
         }
         if !bvis.is_empty() {
             if bvis.len() > 1 {
                 // Advisory hint before any visitor runs: semi-external
                 // handlers coalesce the batch's adjacency reads here. One
-                // call per contiguous same-query run (the semi-sort's qid
-                // tiebreak keeps runs long); aborted queries are skipped.
+                // call per contiguous same-traversal run (the semi-sort's
+                // qid tiebreak keeps runs long); aborted ones are skipped.
                 let mut i = 0;
-                while i < bqid.len() {
-                    let qid = bqid[i];
-                    let mut j = i + 1;
-                    while j < bqid.len() && bqid[j] == qid {
-                        j += 1;
-                    }
-                    if j - i > 1 && switch_query(shared, &mut cur, &mut led, qid, recorder) {
-                        let q = cur.as_ref().expect("switch_query returned true");
-                        if !q.aborted.load(Ordering::Acquire) {
-                            q.handler.get().prepare_batch(&bvis[i..j]);
+                for run in bkey.chunk_by(|a, b| a == b) {
+                    let span = i..i + run.len();
+                    i = span.end;
+                    if run.len() > 1 && lane.enter(&mut cur, &mut led, run[0], recorder) {
+                        let (p, handler) = lane.query(cur.as_ref().expect("enter returned true"));
+                        if !p.aborted.load(Ordering::Acquire) {
+                            handler.prepare_batch(&bvis[span]);
                         }
                     }
-                    i = j;
                 }
             }
             if R::ENABLED {
                 recorder.observe(HistKind::BatchDrainSize, bvis.len() as u64);
             }
-            for (v, qid) in bvis.drain(..).zip(bqid.drain(..)) {
-                if shared.poisoned.load(Ordering::Acquire) {
-                    // Engine-level teardown: drop everything and leave.
+            for (v, key) in bvis.drain(..).zip(bkey.drain(..)) {
+                if lane.poisoned() {
+                    // Teardown after a handler panic: drop everything and
+                    // leave.
                     break 'outer;
                 }
-                if !switch_query(shared, &mut cur, &mut led, qid, recorder) {
-                    debug_assert!(false, "visitor for unknown query {qid}");
+                if !lane.enter(&mut cur, &mut led, key, recorder) {
+                    debug_assert!(false, "visitor for an unknown query");
                     continue;
                 }
-                let q = cur.as_ref().expect("switch_query returned true");
-                if q.aborted.load(Ordering::Acquire) {
-                    // This query is coming down: its visitors drain as
+                let q = cur.as_ref().expect("enter returned true");
+                let (p, handler) = lane.query(q);
+                if p.aborted.load(Ordering::Acquire) {
+                    // This traversal is coming down: its visitors drain as
                     // uncounted drops so its pending counter still reaches
-                    // zero and the ticket resolves.
-                    led.dropped += 1;
+                    // zero and the run (or ticket) resolves.
                     led.debt += 1;
                     if led.debt >= DEBT_FLUSH {
-                        led.settle(shared, q, recorder);
+                        led.settle(lane, q, recorder);
                     }
                     continue;
                 }
                 let mut ctx = PushCtx {
-                    inboxes: &shared.inboxes,
-                    pending: &q.pending,
-                    qid,
+                    sink: L::sink(&mut heap, &mut outbox, key),
+                    pending: &p.pending,
                     worker_id: id,
-                    local_heap: &mut heap,
-                    outbox: &mut outbox,
                     pushed: 0,
                     local_pushes: 0,
                 };
-                let visit_start = if R::ENABLED {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let outcome = q.handler.get().try_visit(v, &mut ctx);
+                let visit_start = R::ENABLED.then(Instant::now);
+                let outcome = handler.try_visit(v, &mut ctx);
                 let (pushed, local_pushes) = (ctx.pushed, ctx.local_pushes);
                 if let Some(t0) = visit_start {
                     recorder.observe(HistKind::ServiceTimeNs, t0.elapsed().as_nanos() as u64);
                 }
                 if local_pushes > 0 {
-                    // Publish deferred-increment local pushes (see PushCtx).
-                    // Done even on an aborting visit so the counter never
-                    // under-counts while other workers may be settling it.
-                    q.pending.fetch_add(local_pushes, Ordering::Relaxed);
+                    // Publish deferred-increment local pushes (see
+                    // `Outbox::route`). Done even on an aborting visit so the
+                    // counter never under-counts while other workers may be
+                    // settling it.
+                    p.pending.fetch_add(local_pushes, Ordering::Relaxed);
                 }
                 if R::ENABLED {
                     recorder.counter(Counter::VisitorsExecuted, 1);
@@ -1209,56 +1277,42 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
                 led.local += local_pushes;
                 led.debt += 1;
                 if let Err(reason) = outcome {
-                    // Abort *this query only*; the worker keeps serving
-                    // siblings, and this query's queued visitors drain out
-                    // as drops above.
-                    q.abort(reason);
+                    // Abort *this traversal only*; on the multi-query lane
+                    // the worker keeps serving siblings. Its queued
+                    // visitors drain out as drops above.
+                    p.abort(reason);
                 }
                 if led.debt >= DEBT_FLUSH {
-                    led.settle(shared, q, recorder);
+                    led.settle(lane, q, recorder);
                 }
                 if !outbox.ready.is_empty() {
-                    if R::ENABLED {
-                        recorder.counter(Counter::OutboxFlushes, 1);
-                    }
-                    outbox.flush_ready(&shared.inboxes, id, recorder);
+                    outbox.flush_ready(inboxes, id, recorder);
                 } else if outbox.staged >= outbox_max_staged {
-                    if R::ENABLED {
-                        recorder.counter(Counter::OutboxFlushes, 1);
-                    }
-                    outbox.flush(&shared.inboxes, id, recorder);
+                    outbox.flush(inboxes, id, recorder);
                 }
             }
             continue;
         }
 
         // Out of local work: deliver staged mail (other workers may be
-        // waiting on it), then settle the ledger so the current query's
-        // counter is exact before this worker goes quiet.
-        if R::ENABLED && outbox.staged > 0 {
-            recorder.counter(Counter::OutboxFlushes, 1);
-        }
-        outbox.flush(&shared.inboxes, id, recorder);
+        // waiting on it), then settle the ledger so the current
+        // traversal's counter is exact before this worker goes quiet.
+        outbox.flush(inboxes, id, recorder);
         if let Some(q) = cur.take() {
-            led.settle(shared, &q, recorder);
+            led.settle(lane, &q, recorder);
         }
 
-        // Idle: adaptive spin before parking — but only while queries are
-        // in flight. A fully idle engine skips straight to the park (the
-        // long-lived-pool fix: between queries there is nothing nanoseconds
-        // away to spin for, and N workers spinning between every request
-        // would burn N cores at idle).
-        let spin_budget = if shared.active_count.load(Ordering::Relaxed) == 0 {
-            0
-        } else {
-            cfg.vq.spin_iters
-        };
+        // Idle: adaptive spin — short doubling spin_loop bursts first
+        // (mail often lands within nanoseconds of a flush), then yields
+        // that surrender the core (right when oversubscribed) — before
+        // parking on the mailbox.
+        let (spin_budget, park_timeout) = lane.idle(cfg);
         let mut spun: u32 = 0;
         while spun < spin_budget {
             if inbox.has_mail() {
                 continue 'outer;
             }
-            if shared.stopping() {
+            if lane.done() {
                 break 'outer;
             }
             if spun < SPIN_HINT_ITERS {
@@ -1271,16 +1325,9 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
             spun += 1;
         }
 
-        // Park until mail arrives or the engine stops; any mail found is
-        // drained into the heap before idle_wait returns. Unlike the
-        // single-run loop there is no pending==0 exit: an idle engine
-        // worker parks and waits for the next query.
-        let idle = inbox.idle_wait(
-            &mut heap,
-            || shared.stopping(),
-            cfg.idle_park_timeout,
-            recorder,
-        );
+        // Park until mail arrives or the lane is done; any mail found is
+        // drained into the heap before idle_wait returns.
+        let idle = inbox.idle_wait(&mut heap, || lane.done(), park_timeout, recorder);
         totals.parks += idle.parks;
         if idle.exit {
             break 'outer;
@@ -1297,9 +1344,9 @@ fn engine_worker<'h, V: Visitor, R: Recorder>(
     totals
 }
 
-/// Run one traversal on a throwaway single-query engine — the
-/// implementation behind every [`VisitorQueue`](crate::VisitorQueue) entry
-/// point, so the one-shot and persistent paths cannot drift.
+/// Run one traversal on the single-query lane — the implementation behind
+/// every [`VisitorQueue`](crate::VisitorQueue) entry point. Workers are
+/// spawned for this run and joined at termination.
 pub(crate) fn one_shot<V, H, I, R>(
     cfg: &VqConfig,
     handler: &H,
@@ -1313,48 +1360,56 @@ where
     R: Recorder,
 {
     let num_threads = cfg.num_threads.max(1);
-    let seeds: Vec<V> = init.into_iter().collect();
-    if seeds.is_empty() {
-        // Nothing to traverse: matches the historical behaviour of not
-        // spawning workers at all for an empty seed set.
-        return Ok(RunStats {
-            num_threads,
-            ..Default::default()
+    let inboxes: Vec<Mailbox<V>> = (0..num_threads)
+        .map(|_| Mailbox::new(cfg.mailbox, num_threads))
+        .collect();
+    // Workers have not started, so nothing contends and no owner needs
+    // waking.
+    let (groups, seeded) = group_seeds(init, num_threads, |v| v);
+    for (dest, mut group) in groups.into_iter().enumerate() {
+        inboxes[dest].deliver(&mut group, mailbox::NO_PRODUCER, recorder);
+    }
+    let run = Solo {
+        inboxes,
+        handler,
+        progress: Progress::new(seeded),
+        poisoned: AtomicBool::new(false),
+    };
+    if R::ENABLED {
+        // Seed pushes come from the calling thread (overflow shard);
+        // worker-attributed pushes are recorded in the worker loop.
+        recorder.counter(Counter::VisitorsPushed, seeded);
+    }
+
+    let start = Instant::now();
+    let mut stats = RunStats {
+        num_threads,
+        ..Default::default()
+    };
+    if seeded > 0 {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = (0..num_threads)
+                .map(|id| scope.spawn(move || engine_worker(run, id, cfg, recorder)))
+                .collect();
+            for h in handles {
+                // A panicked worker has already poisoned the run, so the
+                // remaining workers exit; join then re-raises.
+                let w = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                stats.parks += w.parks;
+                stats.inbox_batches += w.inbox_batches;
+            }
         });
     }
-    let ecfg = EngineConfig {
-        vq: cfg.clone(),
-        max_concurrent: 1,
-        queue_depth: 0,
-        submit_timeout: Duration::ZERO,
-        idle_park_timeout: cfg.park_timeout,
-    };
-    let start = Instant::now();
-    let (result, estats) = scoped(&ecfg, recorder, |engine: &Engine<'_, '_, V, R>| {
-        let ticket = engine
-            .submit_borrowed(handler, seeds)
-            .expect("single submit on an empty engine cannot be refused");
-        ticket.wait()
-    });
-    let elapsed = start.elapsed();
-    let build = |qs: QueryStats| RunStats {
-        visitors_executed: qs.visitors_executed,
-        visitors_pushed: qs.visitors_pushed,
-        local_pushes: qs.local_pushes,
-        parks: estats.parks,
-        inbox_batches: estats.inbox_batches,
-        elapsed,
-        num_threads,
-    };
-    match result {
-        Ok(qs) => Ok(build(qs)),
-        Err(QueryError::Aborted { reason, stats }) => Err(AbortedRun {
-            reason,
-            stats: build(stats),
-        }),
-        Err(QueryError::EnginePoisoned) => {
-            unreachable!("worker panic re-raises inside scoped before this")
-        }
+    stats.elapsed = start.elapsed();
+    let qs = run.progress.stats(stats.elapsed);
+    stats.visitors_executed = qs.visitors_executed;
+    stats.visitors_pushed = qs.visitors_pushed;
+    stats.local_pushes = qs.local_pushes;
+    let reason = run.progress.abort_reason.lock().take();
+    match reason {
+        Some(reason) => Err(AbortedRun { reason, stats }),
+        None => Ok(stats),
     }
 }
 
@@ -1672,6 +1727,124 @@ mod tests {
         assert_eq!(hops.visits.load(AO::Relaxed), n_queries * 100);
         assert_eq!(stats.queries, n_queries);
         assert_eq!(stats.num_threads, 8, "one pool serves all queries");
+    }
+
+    /// A prioritized visitor: `(prio, id)` order, addressed to `id`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct Prio {
+        prio: u64,
+        id: u64,
+    }
+    impl Visitor for Prio {
+        fn target(&self) -> u64 {
+            self.id
+        }
+        fn priority(&self) -> u64 {
+            self.prio
+        }
+    }
+
+    /// Records the order visitors execute in; `step` gives each visit's
+    /// pushes.
+    struct Recorded {
+        order: Mutex<Vec<Prio>>,
+        step: fn(&Prio) -> Vec<Prio>,
+    }
+    impl crate::VisitHandler<Prio> for Recorded {
+        fn visit(&self, v: Prio, ctx: &mut PushCtx<'_, Prio>) {
+            self.order.lock().push(v);
+            for c in (self.step)(&v) {
+                ctx.push(c);
+            }
+        }
+    }
+
+    /// Run `seeds` through both lanes at one worker with the same
+    /// `VqConfig`: the visit sequences and counts must be identical.
+    fn lanes_agree(seeds: Vec<Prio>, step: fn(&Prio) -> Vec<Prio>) {
+        let cfg = VqConfig::with_threads(1);
+        let solo = Recorded {
+            order: Mutex::new(Vec::new()),
+            step,
+        };
+        let s = crate::VisitorQueue::try_run(&cfg, &solo, seeds.clone()).unwrap();
+        let multi = Arc::new(Recorded {
+            order: Mutex::new(Vec::new()),
+            step,
+        });
+        let (q, _) = scoped(&EngineConfig::with_vq(cfg), &NoopRecorder, |engine| {
+            let h = Arc::clone(&multi) as Arc<DynHandler<'_, Prio>>;
+            engine.submit(h, seeds).unwrap().wait().unwrap()
+        });
+        let (a, b) = (solo.order.lock(), multi.order.lock());
+        assert!(a.len() > 100, "workload too small to compare: {}", a.len());
+        assert_eq!(*a, *b, "the two lanes executed different sequences");
+        assert_eq!(s.visitors_executed, q.visitors_executed);
+        assert_eq!(s.visitors_pushed, q.visitors_pushed);
+        assert_eq!(s.visitors_executed, a.len() as u64);
+    }
+
+    #[test]
+    fn lanes_execute_identical_sequences_on_a_chain() {
+        lanes_agree(vec![Prio { prio: 0, id: 0 }], |v| {
+            if v.id < 500 {
+                vec![Prio {
+                    prio: v.prio + 1,
+                    id: v.id + 1,
+                }]
+            } else {
+                vec![]
+            }
+        });
+    }
+
+    #[test]
+    fn lanes_execute_identical_sequences_on_a_fan_out_tree() {
+        lanes_agree(vec![Prio { prio: 0, id: 0 }], |v| {
+            if v.prio < 9 {
+                (1..=2)
+                    .map(|c| Prio {
+                        prio: v.prio + 1,
+                        id: v.id * 2 + c,
+                    })
+                    .collect()
+            } else {
+                vec![]
+            }
+        });
+    }
+
+    #[test]
+    fn lanes_execute_identical_sequences_on_a_priority_seeded_set() {
+        // Seeds in scrambled priority order; each visit pushes a follow-up
+        // a few classes later, so fresh pushes interleave with seeds.
+        let seeds = (0..200u64)
+            .map(|i| Prio {
+                prio: (i * 7919) % 97,
+                id: i,
+            })
+            .collect();
+        lanes_agree(seeds, |v| {
+            if v.prio < 150 {
+                vec![Prio {
+                    prio: v.prio + v.id % 5 + 1,
+                    id: (v.id * 31 + 7) % 1000,
+                }]
+            } else {
+                vec![]
+            }
+        });
+    }
+
+    #[test]
+    fn single_lane_queues_untagged_visitors() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<<Solo<'static, Prio, Recorded> as Lane>::Item>(),
+            size_of::<Prio>()
+        );
+        // The multi-query lane pays for the query id.
+        assert!(size_of::<<EngineShared<'static, Prio> as Lane>::Item>() > size_of::<Prio>());
     }
 
     #[test]

@@ -60,10 +60,12 @@
 //! # One-shot vs. persistent
 //!
 //! [`VisitorQueue`] runs a single traversal to completion on a worker pool
-//! it spawns and joins internally. For a stream of traversals over one
-//! graph — the serving workload — use the persistent [`engine`]: workers
-//! are spawned once, park when idle, and multiplex concurrent queries with
-//! per-query termination and isolation (see [`engine::scoped`]).
+//! it spawns and joins internally, with untagged visitors and a statically
+//! dispatched handler. For a stream of traversals over one graph — the
+//! serving workload — use the persistent [`engine`]: workers are spawned
+//! once, park when idle, and multiplex concurrent queries with per-query
+//! termination and isolation (see [`engine::scoped`]). Both run one worker
+//! loop, instantiated once per lane.
 
 #![warn(missing_docs)]
 

@@ -35,7 +35,7 @@
 //!    parked bit (and wakes the owner). A lost-wakeup requires both
 //!    loads to miss, which SC forbids.
 //! 3. **Termination.** The global `pending` counter is incremented
-//!    *before* a visitor is published (in `PushCtx::push`) and
+//!    *before* a visitor is published (in `Outbox::route`) and
 //!    decremented only after its visit returns, so the mailbox can only
 //!    make `pending` an over-count — termination may be delayed, never
 //!    detected early. Missed teardown wakes are additionally bounded by

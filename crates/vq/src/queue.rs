@@ -27,11 +27,11 @@
 //! the end of the visit, and completions accumulate into a per-worker debt
 //! settled at the latest when the worker runs out of local work.
 //!
-//! Since the persistent [`Engine`](crate::engine::Engine) landed, the
-//! worker loop itself lives in [`crate::engine`]; every [`VisitorQueue`]
-//! entry point runs as a single query on a throwaway one-query engine
-//! (`crate::engine::one_shot`), so the one-shot and multi-query paths
-//! share one implementation and cannot drift.
+//! The worker loop lives in [`crate::engine`]. Every [`VisitorQueue`]
+//! entry point runs it on its *single-query lane*: queues hold `V` itself,
+//! the handler is called statically, and termination is the one counter
+//! above plus the abort and poison flags. The persistent engine runs the
+//! same loop on its multi-query lane, so the two cannot drift.
 
 use crate::config::VqConfig;
 use crate::visitor::{AbortReason, FallibleVisitHandler, VisitHandler, Visitor};
@@ -52,7 +52,8 @@ pub struct RunStats {
     pub visitors_pushed: u64,
     /// Pushes that stayed on the pushing worker's own queue (no lock).
     pub local_pushes: u64,
-    /// Times a worker parked on its inbox condvar (idle periods).
+    /// Times a worker parked while idle: on its mailbox's event count
+    /// (lock-free mailbox) or its condvar (mutex inbox).
     pub parks: u64,
     /// Non-empty inbox drains (each is one batch of delivered mail).
     pub inbox_batches: u64,

@@ -77,37 +77,6 @@ impl<V: Visitor, H: VisitHandler<V>> FallibleVisitHandler<V> for H {
     }
 }
 
-/// Adapter: wrap a visitor type so its vertex id is ignored in the ordering,
-/// leaving only the primary priority. Used by the semi-sort ablation to
-/// measure what the paper's secondary vertex-id sort key is worth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PriorityOnly<V>(pub V);
-
-impl<V: Visitor + PriorityKey> PartialOrd for PriorityOnly<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<V: Visitor + PriorityKey> Ord for PriorityOnly<V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.priority_key().cmp(&other.0.priority_key())
-    }
-}
-
-impl<V: Visitor + PriorityKey> Visitor for PriorityOnly<V> {
-    fn target(&self) -> u64 {
-        self.0.target()
-    }
-}
-
-/// Exposes a visitor's primary priority (without secondary keys), enabling
-/// the [`PriorityOnly`] ordering adapter.
-pub trait PriorityKey {
-    /// The primary priority value (e.g. tentative distance), smaller first.
-    fn priority_key(&self) -> u64;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,24 +91,11 @@ mod tests {
             self.vertex
         }
     }
-    impl PriorityKey for V {
-        fn priority_key(&self) -> u64 {
-            self.dist
-        }
-    }
 
     #[test]
     fn derived_ord_uses_secondary_vertex_key() {
         let a = V { dist: 3, vertex: 1 };
         let b = V { dist: 3, vertex: 2 };
         assert!(a < b, "equal priority orders by vertex id (semi-sort)");
-    }
-
-    #[test]
-    fn priority_only_ignores_vertex() {
-        let a = PriorityOnly(V { dist: 3, vertex: 9 });
-        let b = PriorityOnly(V { dist: 3, vertex: 1 });
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
-        assert_eq!(a.target(), 9);
     }
 }
